@@ -198,55 +198,41 @@ let candidate_of_path t ~neighbor ~role down_path =
             ~dest:(Path.destination down_path) ~cls ~len ~path
         in
         if pref < 0 then None
-        else Some (path, pref, { Gao_rexford.cls; len; next_hop = neighbor })
+        else
+          Some
+            ( { Gao_rexford.pref; cls; len; next_hop = neighbor;
+                via_sibling = role = Relationship.Sibling },
+              path )
 
-let best_candidate t ~dest =
-  (* A claimed origination (static [originate] or an active hijack
-     override) beats everything: class Origin, length 1. *)
-  let claim =
-    if dest <> t.node_id && Policy.claims_origin t.policy ~node:t.node_id ~dest
-    then
-      Some
-        ( [ t.node_id; dest ],
-          0,
-          { Gao_rexford.cls = Gao_rexford.Origin; len = 1; next_hop = dest } )
-    else None
+let best_path t ~dest =
+  let best = ref None in
+  let consider ((cand, _) as entry) =
+    match !best with
+    | Some (bc, _)
+      when Gao_rexford.compare ~chooser:t.node_id ~dest Gao_rexford.Standard
+             cand bc
+           >= 0 -> ()
+    | Some _ | None -> best := Some entry
   in
-  List.fold_left
-    (fun best (n, role, _) ->
-      let cands = ref [] in
-      if dest = n then begin
-        let cls =
-          Gao_rexford.class_of_learned ~neighbor_role:role
-            ~neighbor_class:Gao_rexford.Origin
-        in
-        let path = [ t.node_id; n ] in
-        let pref =
-          Policy.import_eval t.policy ~node:t.node_id ~peer:n ~role ~dest ~cls
-            ~len:1 ~path
-        in
-        if pref >= 0 then
-          cands := [ (path, pref, { Gao_rexford.cls; len = 1; next_hop = n }) ]
-      end;
+  (* A claimed origination (static [originate] or an active hijack
+     override) beats every learned route of equal preference. *)
+  if dest <> t.node_id && Policy.claims_origin t.policy ~node:t.node_id ~dest
+  then consider (Gao_rexford.claimed_origin ~dest, [ t.node_id; dest ]);
+  let offer ~neighbor ~role down_path =
+    Option.iter consider (candidate_of_path t ~neighbor ~role down_path)
+  in
+  List.iter
+    (fun (n, role, _) ->
       (match Imap.find_opt n t.sessions with
       | None -> ()
       | Some s -> (
         match Hashtbl.find_opt s.cache dest with
         | None -> ()
-        | Some down_path -> (
-          match candidate_of_path t ~neighbor:n ~role down_path with
-          | None -> ()
-          | Some c -> cands := c :: !cands)));
-      List.fold_left
-        (fun best ((_, pref, cand) as entry) ->
-          match best with
-          | None -> Some entry
-          | Some (_, bpref, bc) ->
-            if Policy.compare_ranked (pref, cand) (bpref, bc) < 0 then
-              Some entry
-            else best)
-        best !cands)
-    claim (neighbors t)
+        | Some down_path -> offer ~neighbor:n ~role down_path));
+      (* A neighbor always offers the route to itself. *)
+      if dest = n then offer ~neighbor:n ~role [ n ])
+    (neighbors t);
+  Option.map snd !best
 
 (* Export decision for one selected path toward one neighbor: split
    horizon, then the compiled export policy (which defaults to the
@@ -280,9 +266,7 @@ let reselect t ~dest =
   if dest = t.node_id then ()
   else begin
     let old_path = Hashtbl.find_opt t.selected dest in
-    let new_path =
-      Option.map (fun (p, _, _) -> p) (best_candidate t ~dest)
-    in
+    let new_path = best_path t ~dest in
     let same =
       match (old_path, new_path) with
       | None, None -> true

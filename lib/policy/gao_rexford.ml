@@ -26,7 +26,16 @@ let exportable ~cls ~to_role =
     | Origin | Cust -> true
     | Peer_r | Prov -> false)
 
-type candidate = { cls : route_class; len : int; next_hop : int }
+type candidate = {
+  pref : int;
+  cls : route_class;
+  len : int;
+  next_hop : int;
+  via_sibling : bool;
+}
+
+let claimed_origin ~dest =
+  { pref = 0; cls = Origin; len = 1; next_hop = dest; via_sibling = false }
 
 type discipline = Standard | Class_only | Diverse | Arbitrary
 
@@ -37,13 +46,6 @@ let local_pref ~chooser ~next_hop =
   let z = Int64.logxor z (Int64.shift_right_logical z 27) in
   Int64.to_int (Int64.logand z 1023L)
 
-let compare_candidates a b =
-  let c = compare (class_rank a.cls) (class_rank b.cls) in
-  if c <> 0 then c
-  else
-    let c = compare a.len b.len in
-    if c <> 0 then c else compare a.next_hop b.next_hop
-
 let arbitrary_pref ~chooser ~dest ~next_hop =
   let z =
     Int64.of_int
@@ -53,40 +55,36 @@ let arbitrary_pref ~chooser ~dest ~next_hop =
   let z = Int64.logxor z (Int64.shift_right_logical z 27) in
   Int64.to_int (Int64.logand z 1023L)
 
-let compare_candidates_d ~chooser ~dest discipline a b =
-  match discipline with
-  | Standard -> compare_candidates a b
-  | Class_only ->
-    let c = compare (class_rank a.cls) (class_rank b.cls) in
-    if c <> 0 then c else compare a.next_hop b.next_hop
-  | Diverse ->
-    let c = compare (class_rank a.cls) (class_rank b.cls) in
-    if c <> 0 then c
-    else
-      let c =
-        compare
-          (local_pref ~chooser ~next_hop:a.next_hop)
-          (local_pref ~chooser ~next_hop:b.next_hop)
-      in
-      if c <> 0 then c
-      else
-        let c = compare a.len b.len in
-        if c <> 0 then c else compare a.next_hop b.next_hop
-  | Arbitrary ->
-    let c = compare (class_rank a.cls) (class_rank b.cls) in
-    if c <> 0 then c
-    else
-      let c =
-        compare
-          (arbitrary_pref ~chooser ~dest ~next_hop:a.next_hop)
-          (arbitrary_pref ~chooser ~dest ~next_hop:b.next_hop)
-      in
-      if c <> 0 then c else compare a.next_hop b.next_hop
+let by_len_then_hop a b =
+  let c = Int.compare a.len b.len in
+  if c <> 0 then c else Int.compare a.next_hop b.next_hop
 
-let best = function
-  | [] -> None
-  | first :: rest ->
-    Some
-      (List.fold_left
-         (fun acc c -> if compare_candidates c acc < 0 then c else acc)
-         first rest)
+(* Ties within one class. Every discipline but Standard demotes the
+   sibling-learned route first (the .mli says why). *)
+let within_class ~chooser ~dest discipline a b =
+  let sibling = Bool.compare a.via_sibling b.via_sibling in
+  match discipline with
+  | Standard -> by_len_then_hop a b
+  | Class_only | Diverse | Arbitrary when sibling <> 0 -> sibling
+  | Class_only -> Int.compare a.next_hop b.next_hop
+  | Diverse ->
+    let c =
+      Int.compare
+        (local_pref ~chooser ~next_hop:a.next_hop)
+        (local_pref ~chooser ~next_hop:b.next_hop)
+    in
+    if c <> 0 then c else by_len_then_hop a b
+  | Arbitrary ->
+    let c =
+      Int.compare
+        (arbitrary_pref ~chooser ~dest ~next_hop:a.next_hop)
+        (arbitrary_pref ~chooser ~dest ~next_hop:b.next_hop)
+    in
+    if c <> 0 then c else Int.compare a.next_hop b.next_hop
+
+let compare ~chooser ~dest discipline a b =
+  let c = Int.compare b.pref a.pref in
+  if c <> 0 then c
+  else
+    let c = Int.compare (class_rank a.cls) (class_rank b.cls) in
+    if c <> 0 then c else within_class ~chooser ~dest discipline a b

@@ -10,9 +10,13 @@
       originated locally) may be exported to everyone; a route learned
       from a peer or a provider may be exported only to customers.
       Siblings exchange all routes.
-    - {b Preference (ranking)}: customer routes over peer routes over
-      provider routes; within a class, shorter paths; ties broken by the
-      lowest next-hop id. *)
+    - {b Preference (ranking)}: {!compare} is the one route-preference
+      order of the repo. Higher import preference wins, then customer
+      routes over peer routes over provider routes; within a class,
+      shorter paths and then the lowest next-hop id ({!Standard}), or
+      one of the ablation {!discipline}s. [Stable], [Node], [Bgp_net],
+      [Multipath] and [Verify.Algebra] all select with it; [Solver] is
+      a specialised kernel pinned to it by test. *)
 
 type route_class =
   | Origin  (** the destination itself (locally originated prefix) *)
@@ -38,11 +42,22 @@ val exportable : cls:route_class -> to_role:Relationship.t -> bool
     role? Encodes the export rule above. *)
 
 type candidate = {
+  pref : int;          (** import preference granted by the chooser;
+                           higher wins, 0 under the default policy *)
   cls : route_class;
-  len : int;       (** AS-path length in hops *)
-  next_hop : int;  (** neighbor the route was learned from *)
+  len : int;           (** AS-path length in hops *)
+  next_hop : int;      (** neighbor the route was learned from *)
+  via_sibling : bool;  (** learned across a sibling link *)
 }
 
+val claimed_origin : dest:int -> candidate
+(** A claimed origination of [dest] (static [originate] or a hijack
+    override): class [Origin], length 1, next hop [dest], preference
+    0 — it beats every learned route of equal preference. *)
+
+(** The within-class tie-break of {!compare}. Every discipline ranks by
+    import preference and class rank first; the non-{!Standard} ones
+    then demote sibling-learned routes before their own tie-break. *)
 type discipline =
   | Standard
       (** class rank, then AS-path length, then lowest next-hop id —
@@ -73,15 +88,20 @@ val local_pref : chooser:int -> next_hop:int -> int
     neighbor — the {!Diverse} discipline's stand-in for operator-set
     local preference. *)
 
-val compare_candidates : candidate -> candidate -> int
-(** Total preference order under {!Standard}. Negative means the first
-    candidate is preferred. *)
-
-val compare_candidates_d :
+val compare :
   chooser:int -> dest:int -> discipline -> candidate -> candidate -> int
-(** Preference order under an explicit discipline, for routes chosen by
-    node [chooser] toward [dest] (only {!Diverse} and {!Arbitrary}
-    consult them). *)
+(** The route-preference order of node [chooser] toward [dest].
+    Negative means the first candidate is preferred; total on
+    candidates with distinct next hops. In order:
+    + higher [pref];
+    + lower {!class_rank};
+    + under {!Standard}: shorter [len], then lower [next_hop];
+    + under the other disciplines: the [via_sibling] route loses, then
+      the discipline's tie-break ({!local_pref}, the per-destination
+      pseudo-random rank, or the next-hop id; see {!discipline}).
 
-val best : candidate list -> candidate option
-(** Most preferred candidate, [None] on the empty list. *)
+    Siblings sit outside the Gao–Rexford safety theorem: without the
+    demotion two siblings can each prefer the other's route by
+    tie-break — a DISAGREE gadget with no fixpoint. {!Standard} needs
+    no demotion: its length tie-break cannot sustain the gadget.
+    [chooser] and [dest] are read only by {!Diverse} and {!Arbitrary}. *)

@@ -695,6 +695,10 @@ let default () = lower []
 
 let is_default t = (not t.custom) && t.overrides = 0
 
+let non_default = function
+  | Some p when not (is_default p) -> Some p
+  | Some _ | None -> None
+
 let source t = t.source
 
 let overrides_active t = t.overrides > 0
@@ -783,9 +787,6 @@ let export_ok t ~node ~peer ~role ~dest ~cls ~len ~path =
         in
         if r = res_default then Gao_rexford.exportable ~cls ~to_role:role
         else r >= 0
-
-let compare_ranked (p1, c1) (p2, c2) =
-  if p1 <> p2 then compare p2 p1 else Gao_rexford.compare_candidates c1 c2
 
 let origins t ~node =
   let static =

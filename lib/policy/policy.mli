@@ -64,7 +64,8 @@ action  := "permit" | "deny" | "pref" INT | "tag" INT | "untag" INT
 
     Import preference ranks {e above} the Gao–Rexford order: candidates
     compare by descending preference first, then class / length /
-    next-hop as usual (see {!compare_ranked}).
+    next-hop as usual ([pref] is the first key of
+    {!Gao_rexford.compare}).
 
     A custom {e export permit} authorizes routes the Gao–Rexford
     contract would not — that is the point: it is how the containment
@@ -163,6 +164,10 @@ val is_default : compiled -> bool
     to coincide with hard-coded Gao–Rexford, so callers may keep their
     original fast paths. *)
 
+val non_default : compiled option -> compiled option
+(** [None] for an absent or {!is_default} policy, else the policy: the
+    normalisation callers with a policy-free fast path apply first. *)
+
 val source : compiled -> config
 (** The configuration AST this value was compiled from ([[]] for
     {!default}) — static analyses (the convergence analyzer) walk it
@@ -201,12 +206,6 @@ val export_ok :
     [node] (head = [node]). Default policy:
     [Gao_rexford.exportable ~cls ~to_role:role]. A node under a
     {!set_leak} override exports everything. *)
-
-val compare_ranked :
-  int * Gao_rexford.candidate -> int * Gao_rexford.candidate -> int
-(** Order on (preference, candidate): higher preference first, then
-    {!Gao_rexford.compare_candidates}. Negative means the first is
-    preferred. With both preferences 0 this {e is} the standard order. *)
 
 val origins : compiled -> node:int -> int list
 (** Destinations [node] claims to originate beyond its own id — static

@@ -29,13 +29,15 @@ let parse_env () =
     | Some v when v >= 1 -> Some v
     | Some _ | None -> None)
 
-let default_size_lazy =
-  lazy
-    (match parse_env () with
-    | Some v -> v
-    | None -> max 1 (Domain.recommended_domain_count () - 1))
+(* Computed once at module initialisation, before any worker domain
+   exists: a [Lazy.t] here could be forced by two workers at once, which
+   raises [CamlinternalLazy.Undefined]. *)
+let default_size_value =
+  match parse_env () with
+  | Some v -> v
+  | None -> max 1 (Domain.recommended_domain_count () - 1)
 
-let default_size () = Lazy.force default_size_lazy
+let default_size () = default_size_value
 
 (* [inside]: true in worker domains, and in the caller while it drains a
    job — any parallel entry from such a context runs sequentially
@@ -186,7 +188,7 @@ let run_job ?chunk ~total make_run =
       current_job := None;
       Mutex.unlock mutex)
 
-let use_sequential total = size () <= 1 || total <= 1 || Domain.DLS.get inside
+let use_sequential total = Domain.DLS.get inside || total <= 1 || size () <= 1
 
 let reraise_first failures =
   let first = ref None in

@@ -25,7 +25,7 @@
 val default_size : unit -> int
 (** Pool size from the environment: [CENTAUR_DOMAINS] if set to a
     positive integer, otherwise [max 1 (recommended_domain_count - 1)].
-    Read once and memoized. *)
+    Read once, when the module initialises. *)
 
 val size : unit -> int
 (** Effective size for the current domain: the innermost {!with_size}

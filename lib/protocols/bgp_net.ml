@@ -274,22 +274,21 @@ let trusted_class topo st p =
    entries of live sessions that pass loop detection, ranked by import
    preference then the Gao–Rexford order. A claimed origination (static
    [originate] or an active hijack override) competes as class Origin,
-   length 1 — it beats every learned route. *)
+   length 1 — it beats every learned route of equal preference. *)
 let select topo st ~policy dest =
   if dest = st.id then Some [ st.id ]
   else begin
     let best = ref None in
-    let consider pref cand path =
+    let consider cand path =
       match !best with
-      | None -> best := Some (pref, cand, path)
-      | Some (bpref, bc, _) ->
-        if Policy.compare_ranked (pref, cand) (bpref, bc) < 0 then
-          best := Some (pref, cand, path)
+      | Some (bc, _)
+        when Gao_rexford.compare ~chooser:st.id ~dest Gao_rexford.Standard
+               cand bc
+             >= 0 -> ()
+      | Some _ | None -> best := Some (cand, path)
     in
     if Policy.claims_origin policy ~node:st.id ~dest then
-      consider 0
-        { Gao_rexford.cls = Gao_rexford.Origin; len = 1; next_hop = dest }
-        [ st.id; dest ];
+      consider (Gao_rexford.claimed_origin ~dest) [ st.id; dest ];
     List.iter
       (fun (n, role, _) ->
         match ITbl.find_opt st.rib_in (pk ~nbr:n ~dest) with
@@ -304,10 +303,13 @@ let select topo st ~policy dest =
                 ~len ~path
             in
             if pref >= 0 then
-              consider pref { Gao_rexford.cls; len; next_hop = n } path
+              consider
+                { Gao_rexford.pref; cls; len; next_hop = n;
+                  via_sibling = role = Relationship.Sibling }
+                path
           end)
       (neighbors topo st);
-    Option.map (fun (_, _, p) -> p) !best
+    Option.map snd !best
   end
 
 (* Drain the dirty set and re-select each marked destination; only those

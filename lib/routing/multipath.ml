@@ -27,14 +27,17 @@ let ranked_candidates topo r ~src ~dest =
               | Some cls ->
                 Some
                   ( path,
-                    { Gao_rexford.cls;
+                    { Gao_rexford.pref = 0;
+                      cls;
                       len = Path.length path;
-                      next_hop = n } )))
+                      next_hop = n;
+                      via_sibling = role = Relationship.Sibling } )))
         (Topology.neighbors topo src)
     in
   List.map fst
     (List.sort
-       (fun (_, c1) (_, c2) -> Gao_rexford.compare_candidates c1 c2)
+       (fun (_, c1) (_, c2) ->
+         Gao_rexford.compare ~chooser:src ~dest Gao_rexford.Standard c1 c2)
        candidates)
 
 let k_best topo ~k ~src ~dest =

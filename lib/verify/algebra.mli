@@ -4,15 +4,15 @@
     same rule: extend a neighbor's route across a link (export filter at
     the neighbor, class relabeling, import evaluation at the receiver)
     and keep the most preferred result. This module reifies that rule as
-    an algebra over concrete routes — a carrier of [(path, preference,
-    class, length)] signatures, an {!extend} operation per link, and two
-    order relations — so convergence arguments can be checked against
-    the {e configuration} instead of observed on runs:
+    an algebra over concrete routes — a carrier of paths with their
+    {!Gao_rexford.candidate} signature, an {!extend} operation per link,
+    and two order relations — so convergence arguments can be checked
+    against the {e configuration} instead of observed on runs:
 
-    - {!prefer} is the per-node selection order, mirroring
-      [Stable.best_response] exactly (import preference above the
-      discipline order, sibling demotion under the non-Standard
-      disciplines).
+    - [Gao_rexford.compare] on the routes' [cand] is the per-node
+      selection order — the same function [Stable] and the protocol nets
+      select with (import preference above the discipline order, sibling
+      demotion under the non-Standard disciplines).
     - {!compare_rank} is a {e global} severity order λ shared by every
       node, chosen so that no node ever strictly prefers a strictly
       λ-worse route (preference first, then class rank, then — under
@@ -27,14 +27,12 @@
     with a structural Gao–Rexford certificate and a wheel search. *)
 
 type route = {
-  node : int;           (** resident node (head of [path]) *)
-  path : Path.t;        (** [node :: ... :: origin] *)
-  pref : int;           (** import preference granted at [node] *)
-  cls : Gao_rexford.route_class;
-  len : int;            (** hops *)
-  next_hop : int;       (** neighbor the route extends ([node] itself
-                            for an origin route) *)
-  via_sibling : bool;   (** learned across a sibling link *)
+  node : int;                  (** resident node (head of [path]) *)
+  path : Path.t;               (** [node :: ... :: origin] *)
+  cand : Gao_rexford.candidate;
+      (** preference, class and length at [node]; [next_hop] is the
+          neighbor the route extends ([node] itself for an origin
+          route) *)
 }
 
 type t
@@ -46,8 +44,9 @@ val create :
   Topology.t ->
   t
 (** Defaults: [Standard] discipline, the default (pure Gao–Rexford)
-    policy. A default compiled policy is normalized away, exactly as
-    the stable solver does, so the two never disagree. *)
+    policy. A default compiled policy is normalized away with
+    [Policy.non_default], as the stable solver does, so the two never
+    disagree. *)
 
 val topology : t -> Topology.t
 val discipline : t -> Gao_rexford.discipline
@@ -58,16 +57,12 @@ val extend : t -> dest:int -> route -> via:int -> route option
     loops, the exporter's policy withholds the route, or the importer's
     policy denies it; otherwise the imported route at [via]. *)
 
-val prefer : t -> dest:int -> route -> route -> bool
-(** [prefer t ~dest r1 r2]: does the resident node strictly prefer [r1]
-    over [r2]? Both routes must live at the same node. Mirrors the
-    stable solver's candidate order. *)
-
 val compare_rank : t -> route -> route -> int
 (** The global order λ: negative when the first route is strictly more
     preferred. Compares descending preference, then class rank, then
-    (Standard discipline only) length. Per-node {!prefer} refines λ:
-    a strict {!prefer} never contradicts a strict λ ordering. *)
+    (Standard discipline only) length. The per-node order
+    [Gao_rexford.compare] refines λ: a strict per-node preference never
+    contradicts a strict λ ordering. *)
 
 type enumeration = {
   dest : int;

@@ -189,7 +189,7 @@ let find_wheel alg (enum : Algebra.enumeration) ~max_arcs =
       List.iter
         (fun pid ->
           let p = all.(pid) in
-          if p.Algebra.len >= 1 then
+          if p.Algebra.cand.len >= 1 then
             match Hashtbl.find_opt path_id (List.tl p.Algebra.path) with
             | None -> () (* tail missing: truncated enumeration *)
             | Some tid ->
@@ -197,7 +197,10 @@ let find_wheel alg (enum : Algebra.enumeration) ~max_arcs =
                 (fun qid ->
                   if
                     qid <> pid
-                    && Algebra.prefer alg ~dest p all.(qid)
+                    && Gao_rexford.compare ~chooser:p.Algebra.node ~dest
+                         (Algebra.discipline alg) p.Algebra.cand
+                         all.(qid).Algebra.cand
+                       < 0
                   then begin
                     if !arcs >= max_arcs then capped := true
                     else begin
@@ -266,14 +269,13 @@ let annotate_lines ?policy topo w =
         hubs =
           List.map
             (fun h ->
-              let r = h.rim in
-              match Topology.rel_any topo r.Algebra.node r.Algebra.next_hop with
+              let { Algebra.node; path; cand = c } = h.rim in
+              match Topology.rel_any topo node c.next_hop with
               | None -> h
               | Some role ->
                 let _, line =
-                  Policy.explain_import config ~node:r.Algebra.node
-                    ~peer:r.Algebra.next_hop ~role ~dest:w.dest
-                    ~cls:r.Algebra.cls ~len:r.Algebra.len ~path:r.Algebra.path
+                  Policy.explain_import config ~node ~peer:c.next_hop ~role
+                    ~dest:w.dest ~cls:c.cls ~len:c.len ~path
                 in
                 { h with rim_line = line })
             w.hubs }

@@ -9,6 +9,11 @@ let qcheck_count default =
     match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
   | None -> default
 
+(* Every ranking discipline, for properties that must hold under each. *)
+let disciplines =
+  [ Gao_rexford.Standard; Gao_rexford.Class_only; Gao_rexford.Diverse;
+    Gao_rexford.Arbitrary ]
+
 let path_testable = Alcotest.testable Path.pp Path.equal
 
 let path_opt = Alcotest.option path_testable

@@ -53,16 +53,24 @@ let test_class_of_learned () =
     = Cust)
 
 let test_preference () =
-  let c cls len next_hop = { cls; len; next_hop } in
+  let c ?(pref = 0) ?(via_sibling = false) cls len next_hop =
+    { pref; cls; len; next_hop; via_sibling }
+  in
+  let cmp ?(d = Standard) a b = compare ~chooser:0 ~dest:7 d a b in
+  Alcotest.(check bool) "import preference dominates class" true
+    (cmp (c ~pref:1 Prov 9 5) (c Cust 1 5) < 0);
   Alcotest.(check bool) "class dominates length" true
-    (compare_candidates (c Cust 9 5) (c Peer_r 1 5) < 0);
+    (cmp (c Cust 9 5) (c Peer_r 1 5) < 0);
   Alcotest.(check bool) "length within class" true
-    (compare_candidates (c Cust 2 9) (c Cust 3 1) < 0);
+    (cmp (c Cust 2 9) (c Cust 3 1) < 0);
   Alcotest.(check bool) "next hop breaks ties" true
-    (compare_candidates (c Cust 2 1) (c Cust 2 2) < 0);
-  Alcotest.(check bool) "best of list" true
-    (best [ c Prov 1 1; c Cust 5 9; c Peer_r 2 2 ] = Some (c Cust 5 9));
-  Alcotest.(check bool) "best of empty" true (best [] = None)
+    (cmp (c Cust 2 1) (c Cust 2 2) < 0);
+  Alcotest.(check bool) "standard ignores the sibling flag" true
+    (cmp (c ~via_sibling:true Cust 2 1) (c Cust 2 2) < 0);
+  Alcotest.(check bool) "class-only demotes the sibling route" true
+    (cmp ~d:Class_only (c Cust 2 2) (c ~via_sibling:true Cust 2 1) < 0);
+  Alcotest.(check bool) "class-only ignores length" true
+    (cmp ~d:Class_only (c Cust 5 1) (c Cust 2 2) < 0)
 
 let test_path_class () =
   let topo = Fixtures.figure2a () in

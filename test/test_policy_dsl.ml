@@ -241,23 +241,39 @@ let default_is_gao_rexford =
       && Policy.export_ok d ~node ~peer ~role ~dest ~cls ~len ~path
          = Gao_rexford.exportable ~cls ~to_role:role)
 
-let ranked_default_order =
-  QCheck.Test.make ~name:"compare_ranked at pref 0 == compare_candidates"
-    ~count:200
-    (QCheck.make
-       QCheck.Gen.(
-         let cand =
-           let* cls = oneofl classes in
-           let* len = 1 -- 8 in
-           let* next_hop = int_bound 15 in
-           return { Gao_rexford.cls; len; next_hop }
-         in
-         pair cand cand))
-    (fun (a, b) ->
-      compare (Policy.compare_ranked (0, a) (0, b))
-        (Gao_rexford.compare_candidates a b)
-      = 0
-      && Policy.compare_ranked (1, a) (0, b) < 0)
+(* --- QCheck: the one route-preference order is a total order ---------- *)
+
+let preference_order_is_total =
+  let gen =
+    QCheck.Gen.(
+      (* Narrow ranges so ties on every key, and chains of them, occur. *)
+      let cand =
+        let* pref = oneofl [ 0; 0; 100 ] in
+        let* cls = oneofl classes in
+        let* len = 1 -- 4 in
+        let* next_hop = int_bound 5 in
+        let* via_sibling = bool in
+        return { Gao_rexford.pref; cls; len; next_hop; via_sibling }
+      in
+      let* chooser = int_bound 9 in
+      let* dest = int_bound 9 in
+      let* d = oneofl Helpers.disciplines in
+      let* a = cand in
+      let* b = cand in
+      let* c = cand in
+      return (chooser, dest, d, a, b, c))
+  in
+  QCheck.Test.make
+    ~name:"Gao_rexford.compare: antisymmetric, transitive, total"
+    ~count:(Helpers.qcheck_count 2000)
+    (QCheck.make gen)
+    (fun (chooser, dest, d, a, b, c) ->
+      let cmp x y = Gao_rexford.compare ~chooser ~dest d x y in
+      let sign x = Int.compare x 0 in
+      cmp a a = 0
+      && sign (cmp a b) = - sign (cmp b a)
+      && ((not (cmp a b <= 0 && cmp b c <= 0)) || cmp a c <= 0)
+      && (a.next_hop = b.next_hop || cmp a b <> 0))
 
 (* --- end to end: a configured policy changes what the nets route ------ *)
 
@@ -294,6 +310,6 @@ let suite =
     Alcotest.test_case "error-message corpus" `Quick test_corpus;
     QCheck_alcotest.to_alcotest compiled_matches_naive;
     QCheck_alcotest.to_alcotest default_is_gao_rexford;
-    QCheck_alcotest.to_alcotest ranked_default_order;
+    QCheck_alcotest.to_alcotest preference_order_is_total;
     Alcotest.test_case "policy changes routing" `Quick
       test_policy_changes_routing ]

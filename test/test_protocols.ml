@@ -17,29 +17,32 @@ let test_bgp_matches_solver_fig2 () =
   ignore (runner.Sim.Runner.cold_start ());
   check_matches_solver ~what:"bgp" topo runner
 
-let test_centaur_matches_solver_random () =
-  let topo = random_as_topology ~seed:31 ~n:40 in
-  let runner = Protocols.Centaur_net.network topo in
-  ignore (runner.Sim.Runner.cold_start ());
-  check_matches_solver ~what:"centaur/as40" topo runner
+(* Seeded AS-like and BRITE graphs under the default policy: every
+   path-vector protocol's converged forwarding equals the solver's. *)
+let matches_solver_on ~family topo_of proto =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "%s = solver (%s)" proto family)
+    ~count:(qcheck_count 5)
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+      let topo = topo_of seed in
+      let network = Option.get (Protocols.Proto_table.find proto) in
+      let runner = network topo in
+      ignore (runner.Sim.Runner.cold_start ());
+      check_matches_solver
+        ~what:(Printf.sprintf "%s/%s seed %d" proto family seed)
+        topo runner;
+      true)
 
-let test_bgp_matches_solver_random () =
-  let topo = random_as_topology ~seed:31 ~n:40 in
-  let runner = Protocols.Bgp_net.network topo in
-  ignore (runner.Sim.Runner.cold_start ());
-  check_matches_solver ~what:"bgp/as40" topo runner
-
-let test_centaur_matches_solver_brite () =
-  let topo = random_brite ~seed:32 ~n:50 ~m:2 in
-  let runner = Protocols.Centaur_net.network topo in
-  ignore (runner.Sim.Runner.cold_start ());
-  check_matches_solver ~what:"centaur/brite50" topo runner
-
-let test_bgp_matches_solver_brite () =
-  let topo = random_brite ~seed:32 ~n:50 ~m:2 in
-  let runner = Protocols.Bgp_net.network topo in
-  ignore (runner.Sim.Runner.cold_start ());
-  check_matches_solver ~what:"bgp/brite50" topo runner
+let matches_solver_random =
+  List.concat_map
+    (fun (family, topo_of) ->
+      List.map
+        (fun proto ->
+          QCheck_alcotest.to_alcotest (matches_solver_on ~family topo_of proto))
+        [ "centaur"; "bgp"; "bgp-rcn" ])
+    [ ("as40", fun seed -> random_as_topology ~seed ~n:40);
+      ("brite50", fun seed -> random_brite ~seed ~n:50 ~m:2) ]
 
 let test_centaur_reconverges_after_failure () =
   let topo = random_as_topology ~seed:33 ~n:30 in
@@ -163,16 +166,9 @@ let suite =
   [ Alcotest.test_case "centaur = solver (fig2)" `Quick
       test_centaur_matches_solver_fig2;
     Alcotest.test_case "bgp = solver (fig2)" `Quick
-      test_bgp_matches_solver_fig2;
-    Alcotest.test_case "centaur = solver (as40)" `Quick
-      test_centaur_matches_solver_random;
-    Alcotest.test_case "bgp = solver (as40)" `Quick
-      test_bgp_matches_solver_random;
-    Alcotest.test_case "centaur = solver (brite50)" `Quick
-      test_centaur_matches_solver_brite;
-    Alcotest.test_case "bgp = solver (brite50)" `Quick
-      test_bgp_matches_solver_brite;
-    Alcotest.test_case "centaur reconverges after failure" `Quick
+      test_bgp_matches_solver_fig2 ]
+  @ matches_solver_random
+  @ [ Alcotest.test_case "centaur reconverges after failure" `Quick
       test_centaur_reconverges_after_failure;
     Alcotest.test_case "bgp reconverges after failure" `Quick
       test_bgp_reconverges_after_failure;

@@ -225,6 +225,88 @@ let flagged_family_oscillates =
       | exception Stable.Diverged -> ());
       true)
 
+(* --- the algebra selects what Stable selects ---------------------------- *)
+
+(* Algebra and Stable share [Gao_rexford.compare]; this pins the rest of
+   the algebra (extension, policy evaluation, enumeration) to the solver.
+   Every Stable selection must be one of the algebra's permitted routes
+   at that node, and no permitted extension of a neighbor's selection
+   may beat it — Stable's fixpoint is a best response in the algebra.
+   A node Stable leaves unreachable must have no extension at all. Odd
+   seeds raise the sibling share so the sibling demotion is exercised. *)
+let algebra_agrees_with_stable =
+  QCheck.Test.make ~name:"Algebra agrees with Stable selections"
+    ~count:(qcheck_count 40)
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let n = 16 in
+      let topo =
+        if seed mod 2 = 0 then random_as_topology ~seed ~n
+        else
+          As_gen.generate (Rng.create seed)
+            { (As_gen.caida_like ~n) with sibling_fraction = 0.15 }
+      in
+      let config =
+        Verify.Gadgets.random_config (Rng.create (seed + 17)) topo ~safe:true
+      in
+      let policy = Policy.compile_exn ~num_nodes:n config in
+      List.iter
+        (fun discipline ->
+          let alg = Verify.Algebra.create ~discipline ~policy topo in
+          for dest = 0 to n - 1 do
+            match Stable.to_dest ~discipline ~policy topo dest with
+            | exception Stable.Diverged -> ()
+            | sel ->
+              let enum = Verify.Algebra.enumerate alg ~dest in
+              let route_at v =
+                match Stable.path sel v with
+                | None -> None
+                | Some p -> (
+                  match
+                    List.find_opt
+                      (fun (r : Verify.Algebra.route) -> Path.equal r.path p)
+                      enum.Verify.Algebra.routes.(v)
+                  with
+                  | Some r -> Some r
+                  | None when enum.Verify.Algebra.complete ->
+                    QCheck.Test.fail_reportf
+                      "seed %d, dest %d: Stable path %s at %d is not a \
+                       permitted route"
+                      seed dest (Path.to_string p) v
+                  | None -> None)
+              in
+              let routes = Array.init n route_at in
+              for v = 0 to n - 1 do
+                if v <> dest then
+                  Topology.iter_neighbors topo v (fun u _ _ ->
+                      match routes.(u) with
+                      | None -> ()
+                      | Some ru -> (
+                        match Verify.Algebra.extend alg ~dest ru ~via:v with
+                        | None -> ()
+                        | Some ext -> (
+                          match routes.(v) with
+                          | None ->
+                            if not (Stable.reachable sel v) then
+                              QCheck.Test.fail_reportf
+                                "seed %d, dest %d: %d unreachable in Stable \
+                                 but offered %a"
+                                seed dest v Verify.Algebra.pp_route ext
+                          | Some rv ->
+                            if
+                              Gao_rexford.compare ~chooser:v ~dest discipline
+                                ext.cand rv.cand
+                              < 0
+                            then
+                              QCheck.Test.fail_reportf
+                                "seed %d, dest %d: %a beats Stable's %a" seed
+                                dest Verify.Algebra.pp_route ext
+                                Verify.Algebra.pp_route rv)))
+              done
+          done)
+        disciplines;
+      true)
+
 (* --- Stable.Diverged escape paths ------------------------------------- *)
 
 let test_stable_diverged_raises () =
@@ -271,6 +353,7 @@ let suite =
     Alcotest.test_case "verify corpus" `Quick test_corpus;
     QCheck_alcotest.to_alcotest certified_implies_quiescent;
     QCheck_alcotest.to_alcotest flagged_family_oscillates;
+    QCheck_alcotest.to_alcotest algebra_agrees_with_stable;
     Alcotest.test_case "Stable.Diverged raises" `Quick
       test_stable_diverged_raises;
     Alcotest.test_case "workspace reusable after Diverged" `Quick
